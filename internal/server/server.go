@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"github.com/whisper-sim/whisper/internal/core"
+	"github.com/whisper-sim/whisper/internal/profiler"
 	"github.com/whisper-sim/whisper/internal/telemetry"
 	"github.com/whisper-sim/whisper/internal/traceio"
 )
@@ -89,11 +90,15 @@ type Server struct {
 	mu      sync.Mutex
 	tenants map[string]*tenant
 
+	// train is the retrain trainer, core.Train outside tests.
+	train func(*profiler.Profile, core.Params) (*core.TrainResult, error)
+
 	httpSrv *http.Server
 }
 
-// NewServer validates cfg, fills defaults, and creates the artifact
-// directory.
+// NewServer validates cfg, fills defaults, creates the artifact
+// directory, and recovers every tenant's newest intact bundle from it
+// (see recoverBundles), so a restart keeps serving what it served.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("server: Config.Dir is required")
@@ -125,11 +130,16 @@ func NewServer(cfg Config) (*Server, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: creating artifact dir: %w", err)
 	}
-	return &Server{
+	s := &Server{
 		cfg:     cfg,
 		bundles: newBundleCache(cfg.BundleCacheEntries),
 		tenants: make(map[string]*tenant),
-	}, nil
+		train:   core.Train,
+	}
+	if err := s.recoverBundles(); err != nil {
+		return nil, fmt.Errorf("server: recovering bundles: %w", err)
+	}
+	return s, nil
 }
 
 func (s *Server) reg() *telemetry.Registry { return telemetry.Default() }
@@ -181,7 +191,7 @@ func (s *Server) tenantFor(id string, create bool) (*tenant, bool) {
 	if !create || len(s.tenants) >= s.cfg.MaxTenants {
 		return nil, false
 	}
-	t = &tenant{id: id, sem: make(chan struct{}, s.cfg.MaxInflight)}
+	t = newTenant(id, s.cfg.MaxInflight)
 	s.tenants[id] = t
 	s.reg().Gauge("whisper_server_tenants").Set(int64(len(s.tenants)))
 	return t, true
@@ -249,6 +259,7 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	reg := s.reg()
 	counter(reg, "whisper_server_requests_total").Inc()
+	defer observeRequest(reg, "shard", time.Now())
 	id := r.PathValue("tenant")
 	if !validTenantID(id) {
 		writeError(w, reg, http.StatusBadRequest, "bad-tenant",
@@ -313,11 +324,21 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// observeRequest records a request's handler time in the per-route
+// whisper_server_request_seconds histogram.
+func observeRequest(r *telemetry.Registry, route string, start time.Time) {
+	if r == nil {
+		return
+	}
+	r.DurationHistogram(`whisper_server_request_seconds{route="` + route + `"}`).Observe(uint64(time.Since(start)))
+}
+
 // handleBundle is GET /v1/tenants/{tenant}/bundle: serve the current
 // bundle bytes with a strong ETag, honouring If-None-Match.
 func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
 	reg := s.reg()
 	counter(reg, "whisper_server_requests_total").Inc()
+	defer observeRequest(reg, "bundle", time.Now())
 	id := r.PathValue("tenant")
 	t, ok := s.tenantFor(id, false)
 	if !ok {
@@ -325,9 +346,7 @@ func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("unknown tenant %q", id))
 		return
 	}
-	t.mu.Lock()
-	ref := t.bundle
-	t.mu.Unlock()
+	ref := t.bundle.Load()
 	if ref == nil {
 		writeError(w, reg, http.StatusNotFound, "no-bundle",
 			fmt.Sprintf("tenant %s has no trained bundle yet", id))

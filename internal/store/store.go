@@ -181,6 +181,14 @@ func WriteFile(path string, a *Artifact) error {
 	if err != nil {
 		return err
 	}
+	return WriteBytes(path, data)
+}
+
+// WriteBytes writes already-encoded artifact bytes to path with the
+// same temp-file-then-rename discipline as WriteFile, for callers that
+// need the encoding itself (to fingerprint or serve it) and must not
+// encode twice.
+func WriteBytes(path string, data []byte) error {
 	dir, base := splitPath(path)
 	tmp, err := os.CreateTemp(dir, base+".tmp*")
 	if err != nil {
