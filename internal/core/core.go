@@ -20,7 +20,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"time"
 
@@ -29,7 +28,6 @@ import (
 	"github.com/whisper-sim/whisper/internal/hint"
 	"github.com/whisper-sim/whisper/internal/profiler"
 	"github.com/whisper-sim/whisper/internal/telemetry"
-	"github.com/whisper-sim/whisper/internal/xrand"
 )
 
 // Params are Whisper's design parameters (paper Table III).
@@ -118,213 +116,6 @@ type TrainResult struct {
 	FormulaEvals uint64
 }
 
-// candidateSet is the shared randomized formula order plus precomputed
-// truth tables for the explored prefix.
-type candidateSet struct {
-	formulas []formula.Formula
-	tables   []formula.TruthTable
-}
-
-// buildCandidates constructs the explored candidate list: a single
-// Fisher-Yates permutation of the full encoding space, generated once and
-// shared across branches (paper §III-B), truncated to the explore
-// fraction. With ExtendedOps disabled, the space is first filtered to
-// AND/OR-only, non-inverted trees (ROMBF expressiveness).
-func buildCandidates(p Params) *candidateSet {
-	rng := xrand.New(p.Seed)
-	perm := rng.Perm16(formula.NumFormulas)
-	var pool []formula.Formula
-	if p.ExtendedOps {
-		pool = make([]formula.Formula, len(perm))
-		for i, enc := range perm {
-			pool[i] = formula.Formula(enc)
-		}
-	} else {
-		for _, enc := range perm {
-			f := formula.Formula(enc)
-			if f.Inverted() {
-				continue
-			}
-			ok := true
-			for u := 0; u < formula.Units; u++ {
-				if op := f.UnitOp(u); op != formula.And && op != formula.Or {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				pool = append(pool, f)
-			}
-		}
-	}
-	n := int(float64(len(pool))*p.ExploreFraction + 0.999999)
-	if n < 1 {
-		n = 1
-	}
-	if n > len(pool) {
-		n = len(pool)
-	}
-	cs := &candidateSet{formulas: pool[:n], tables: make([]formula.TruthTable, n)}
-	for i, f := range cs.formulas {
-		cs.tables[i] = f.Table()
-	}
-	return cs
-}
-
-// findBooleanFormula is the paper's Algorithm 1: given taken/not-taken
-// histogram tables keyed by hashed history, return the candidate formula
-// with the fewest mispredictions. evals receives the number of formulas
-// scored.
-func findBooleanFormula(T, NT *[256]uint32, cs *candidateSet, evals *uint64) (best formula.Formula, bestMisp uint64) {
-	bestMisp = ^uint64(0)
-	var totalT uint64
-	for h := 0; h < 256; h++ {
-		totalT += uint64(T[h])
-	}
-	for i := range cs.formulas {
-		tt := &cs.tables[i]
-		// misp(f) = Σ_{¬f(h)} T[h] + Σ_{f(h)} NT[h]
-		//         = totalT + Σ_{f(h)} (NT[h] - T[h])
-		misp := int64(totalT)
-		for w := 0; w < 4; w++ {
-			word := tt[w]
-			for word != 0 {
-				h := w<<6 | trailingZeros64(word)
-				misp += int64(NT[h]) - int64(T[h])
-				word &= word - 1
-			}
-		}
-		*evals++
-		if uint64(misp) < bestMisp {
-			bestMisp = uint64(misp)
-			best = cs.formulas[i]
-		}
-	}
-	return best, bestMisp
-}
-
-func trailingZeros64(x uint64) int { return bits.TrailingZeros64(x) }
-
-// --- Exhaustive search ---------------------------------------------------
-//
-// Scoring all 2^15 formulas naively costs |F| x 256 operations per
-// (branch, length). The complete-tree structure factorizes the search:
-// the root combines u4 (a function of the low history nibble, 64
-// encodings) with u5 (a function of the high nibble, 64 encodings), so
-// with per-encoding nibble tables and partial sums the exact optimum over
-// the whole space costs ~150k operations.
-
-// nibbleFuncs[e][v] is the output of the 3-unit subtree with encoding e
-// (2 bits per unit: units a, b feed unit c) on the 4-bit input v.
-var nibbleFuncs = func() (t [64][16]bool) {
-	for e := 0; e < 64; e++ {
-		opA := formula.Op(e & 3)
-		opB := formula.Op((e >> 2) & 3)
-		opC := formula.Op((e >> 4) & 3)
-		for v := 0; v < 16; v++ {
-			b0 := v&1 != 0
-			b1 := v&2 != 0
-			b2 := v&4 != 0
-			b3 := v&8 != 0
-			t[e][v] = opC.Apply(opA.Apply(b0, b1), opB.Apply(b2, b3))
-		}
-	}
-	return
-}()
-
-// encodeFromParts rebuilds the 15-bit encoding from the low-nibble
-// subtree encoding (units 0,1,4), high-nibble encoding (units 2,3,5),
-// root op (unit 6), and inversion flag.
-func encodeFromParts(lo, hi int, root formula.Op, inv bool) formula.Formula {
-	ops := []formula.Op{
-		formula.Op(lo & 3),        // unit 0: (b0,b1)
-		formula.Op((lo >> 2) & 3), // unit 1: (b2,b3)
-		formula.Op(hi & 3),        // unit 2: (b4,b5)
-		formula.Op((hi >> 2) & 3), // unit 3: (b6,b7)
-		formula.Op((lo >> 4) & 3), // unit 4: (u0,u1)
-		formula.Op((hi >> 4) & 3), // unit 5: (u2,u3)
-		root,                      // unit 6
-	}
-	return formula.New(ops, inv)
-}
-
-// findBooleanFormulaExhaustive returns the exact optimum over all 2^15
-// extended formulas for the histogram pair.
-func findBooleanFormulaExhaustive(T, NT *[256]uint32, evals *uint64) (formula.Formula, uint64) {
-	// D[h] = NT[h] - T[h]; misp(f) = totalT + sum_{f(h)} D[h].
-	var D [256]int64
-	var totalT int64
-	for h := 0; h < 256; h++ {
-		D[h] = int64(NT[h]) - int64(T[h])
-		totalT += int64(T[h])
-	}
-	bestMisp := int64(1) << 62
-	var best formula.Formula
-	// S[a][hi] for the current low encoding: sum over low nibbles where
-	// u4 output is a.
-	var S [2][16]int64
-	for lo := 0; lo < 64; lo++ {
-		fl := &nibbleFuncs[lo]
-		for hi4 := 0; hi4 < 16; hi4++ {
-			var s0, s1 int64
-			for lo4 := 0; lo4 < 16; lo4++ {
-				d := D[hi4<<4|lo4]
-				if fl[lo4] {
-					s1 += d
-				} else {
-					s0 += d
-				}
-			}
-			S[0][hi4] = s0
-			S[1][hi4] = s1
-		}
-		for hi := 0; hi < 64; hi++ {
-			fh := &nibbleFuncs[hi]
-			// W[a][b] = sum over (lo4,hi4) with u4=a, u5=b of D.
-			var w00, w01, w10, w11 int64
-			for hi4 := 0; hi4 < 16; hi4++ {
-				if fh[hi4] {
-					w01 += S[0][hi4]
-					w11 += S[1][hi4]
-				} else {
-					w00 += S[0][hi4]
-					w10 += S[1][hi4]
-				}
-			}
-			for rootOp := formula.Op(0); rootOp < formula.NumOps; rootOp++ {
-				// sumOn = sum of D over inputs where the root output is 1.
-				var sumOn int64
-				if rootOp.Apply(false, false) {
-					sumOn += w00
-				}
-				if rootOp.Apply(false, true) {
-					sumOn += w01
-				}
-				if rootOp.Apply(true, false) {
-					sumOn += w10
-				}
-				if rootOp.Apply(true, true) {
-					sumOn += w11
-				}
-				total := w00 + w01 + w10 + w11
-				for _, inv := range [2]bool{false, true} {
-					on := sumOn
-					if inv {
-						on = total - sumOn
-					}
-					misp := totalT + on
-					*evals += 1
-					if misp < bestMisp {
-						bestMisp = misp
-						best = encodeFromParts(lo, hi, rootOp, inv)
-					}
-				}
-			}
-		}
-	}
-	return best, uint64(bestMisp)
-}
-
 // Train learns Whisper hints from a profile collected with the same
 // geometric length series (profiler defaults).
 func Train(p *profiler.Profile, params Params) (*TrainResult, error) {
@@ -341,6 +132,7 @@ func Train(p *profiler.Profile, params Params) (*TrainResult, error) {
 	}
 	start := time.Now()
 	cs := buildCandidates(params)
+	st := new(scoreTable)
 	res := &TrainResult{
 		Hints:   make(map[uint64]Hint),
 		Params:  params,
@@ -383,15 +175,8 @@ func Train(p *profiler.Profile, params Params) (*TrainResult, error) {
 
 		// Hashed history correlation: pick the length whose best formula
 		// mispredicts least on the training half (paper §III-A).
-		exhaustive := params.ExploreFraction >= 1 && params.ExtendedOps
 		for li := 0; li < nLengths; li++ {
-			var f formula.Formula
-			var misp uint64
-			if exhaustive {
-				f, misp = findBooleanFormulaExhaustive(&hp.T[li], &hp.NT[li], &res.FormulaEvals)
-			} else {
-				f, misp = findBooleanFormula(&hp.T[li], &hp.NT[li], cs, &res.FormulaEvals)
-			}
+			f, misp := findBooleanFormula(&hp.T[li], &hp.NT[li], cs, st, &res.FormulaEvals)
 			if misp < best.ProfiledMisp {
 				best = Hint{PC: pc, LengthIdx: li, Formula: f, Bias: hint.BiasNone, ProfiledMisp: misp}
 			}
